@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# bench.sh — run the lock-manager micro-benchmarks plus a figure smoke
-# benchmark and emit the results as machine-readable JSON. The output path
+# bench.sh — run the lock-manager and wire-codec micro-benchmarks, the
+# loopback-TCP write+commit, plus a figure smoke benchmark, and emit the
+# results as machine-readable JSON. The output path
 # defaults to the next free BENCH_<n>.json (one past the highest number
 # already present), or the path given as $1.
 #
@@ -28,6 +29,9 @@ trap 'rm -f "$tmp"' EXIT
   go test -run '^$' -benchtime=1s -benchmem \
     -bench 'BenchmarkUncontendedGrantRelease|BenchmarkMixedParallel|BenchmarkLocksWithinTable|BenchmarkConflictingOnHotPage' \
     ./internal/lock/
+  go test -run '^$' -benchtime=1s -benchmem \
+    -bench 'BenchmarkCodecEncode|BenchmarkCodecDecode' ./internal/core/
+  go test -run '^$' -benchtime=1s -benchmem -bench 'BenchmarkEndToEndTCPWriteCommit' .
   go test -run '^$' -bench 'BenchmarkFig06' -benchtime=1x -benchmem .
 } | tee "$tmp"
 

@@ -18,6 +18,7 @@ import (
 	"adaptivecc/internal/lock"
 	"adaptivecc/internal/sim"
 	"adaptivecc/internal/storage"
+	"adaptivecc/internal/transport"
 	"adaptivecc/internal/workload"
 )
 
@@ -75,7 +76,7 @@ func BenchmarkTable2WorkloadConfig(b *testing.B) {
 	b.Log("\n" + harness.RenderTable2(harness.DefaultPlatform()))
 }
 
-func BenchmarkFig06HotColdCSLowLocality(b *testing.B)    { benchmarkFigure(b, 6) }
+func BenchmarkFig06HotColdCSLowLocality(b *testing.B) { benchmarkFigure(b, 6) }
 
 // BenchmarkFig06Observed reruns Figure 6 with the observability subsystem
 // on, reporting lock-wait and callback-round latency percentiles (in paper
@@ -289,9 +290,20 @@ func BenchmarkEndToEndCachedRead(b *testing.B) {
 	}
 }
 
-func BenchmarkEndToEndWriteCommit(b *testing.B) {
+func BenchmarkEndToEndWriteCommit(b *testing.B) { benchmarkWriteCommit(b) }
+
+// BenchmarkEndToEndTCPWriteCommit is BenchmarkEndToEndWriteCommit over
+// real loopback sockets: every request, reply, and page crosses the TCP
+// fabric's codec, framing, and socket writers.
+func BenchmarkEndToEndTCPWriteCommit(b *testing.B) {
+	benchmarkWriteCommit(b, func(c *core.Config) {
+		c.Transport = transport.TCPFactory(transport.TCPOptions{})
+	})
+}
+
+func benchmarkWriteCommit(b *testing.B, opts ...func(*core.Config)) {
 	b.ReportAllocs()
-	cl, err := newBenchCluster(core.PSAA)
+	cl, err := newBenchCluster(core.PSAA, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -315,12 +327,18 @@ type benchCluster struct {
 	client *core.Peer
 }
 
-func newBenchCluster(proto core.Protocol) (*benchCluster, error) {
+func newBenchCluster(proto core.Protocol, opts ...func(*core.Config)) (*benchCluster, error) {
 	cfg := core.Config{
 		Protocol: proto,
 		Costs:    sim.DefaultCosts(0),
 	}
-	sys := core.NewSystem(cfg)
+	for _, o := range opts {
+		o(&cfg)
+	}
+	sys, err := core.NewSystemFabric(cfg)
+	if err != nil {
+		return nil, err
+	}
 	vol := storage.NewVolume(1, cfg.Costs, sys.Stats())
 	if _, err := vol.CreateFile(1, 0, 64, 20, 64); err != nil {
 		return nil, err

@@ -4,6 +4,11 @@
 // iff its page is resident AND its availability bit is set. The pool also
 // tracks which objects have been dirtied by active local transactions so
 // that incoming page copies can be merged without clobbering local updates.
+//
+// The server side uses a write-back pool (NewWriteBackPool): a dirty page
+// chosen for eviction stays resident, readable and revivable, until its
+// caller reports the write-back landed, so no concurrent miss can read the
+// stale volume copy in between.
 package buffer
 
 import (
@@ -21,10 +26,19 @@ type frame struct {
 	avail storage.AvailMask
 	dirty storage.AvailMask
 	pins  int
-	elem  *list.Element // position in LRU list; nil while pinned out
+	elem  *list.Element // position in LRU list; nil while evicting
+
+	// Write-back pools only. evicting marks a dirty victim whose
+	// write-back has not landed: still resident, but off the LRU list
+	// and outside the capacity count. writing marks a write-back in
+	// flight, which keeps the frame from being chosen again until it
+	// lands, so a page's write-backs reach the volume in order.
+	evicting bool
+	writing  bool
 }
 
-// Eviction reports a page pushed out of the pool to make room.
+// Eviction reports a page pushed out of the pool to make room. A dirty
+// eviction from a write-back pool must be followed by WriteBackDone.
 type Eviction struct {
 	ID    storage.ItemID
 	Page  *storage.Page
@@ -38,6 +52,20 @@ type Pool struct {
 	capacity int
 	frames   map[storage.ItemID]*frame
 	lru      *list.List // front = least recently used; holds storage.ItemID
+
+	writeBack bool // dirty victims stay resident until WriteBackDone
+	limbo     int  // frames evicting: resident but not counted
+}
+
+// NewWriteBackPool returns a pool whose dirty victims stay resident until
+// their write-back lands: each dirty Eviction carries a snapshot of the
+// page to write, and the frame remains visible to Contains, reads, and
+// Pin until WriteBackDone. Pinning or writing the frame meanwhile revives
+// it as an ordinary resident page that stays dirty.
+func NewWriteBackPool(capacity int) *Pool {
+	p := NewPool(capacity)
+	p.writeBack = true
+	return p
 }
 
 // NewPool returns a pool holding at most capacity pages.
@@ -76,6 +104,17 @@ func (p *Pool) touchLocked(id storage.ItemID, f *frame) {
 	}
 }
 
+// reviveLocked returns an evicting frame to ordinary residence: someone
+// pinned or wrote it, so its contents are no longer the ones being
+// written back. It stays dirty and is written again when next evicted.
+func (p *Pool) reviveLocked(id storage.ItemID, f *frame) {
+	if f.evicting {
+		f.evicting = false
+		p.limbo--
+		f.elem = p.lru.PushBack(id)
+	}
+}
+
 // Insert places a page into the pool with the given availability mask,
 // evicting LRU unpinned pages as needed. If the page is already resident
 // the existing frame is replaced wholesale (callers wanting a merge use
@@ -84,6 +123,7 @@ func (p *Pool) Insert(id storage.ItemID, page *storage.Page, avail storage.Avail
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if f, ok := p.frames[id]; ok {
+		p.reviveLocked(id, f)
 		f.page = page
 		f.avail = avail
 		p.touchLocked(id, f)
@@ -96,9 +136,48 @@ func (p *Pool) Insert(id storage.ItemID, page *storage.Page, avail storage.Avail
 	return ev
 }
 
+// PinOrInsert pins id's resident frame, or inserts page for it with the
+// given availability and pins the new frame. A resident frame always wins
+// over page — also one whose write-back is pending — so a miss that lost
+// a race with another miss never replaces newer contents with its disk
+// copy. The caller must Unpin. It returns any evictions performed.
+func (p *Pool) PinOrInsert(id storage.ItemID, page *storage.Page, avail storage.AvailMask) []Eviction {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if f, ok := p.frames[id]; ok {
+		p.reviveLocked(id, f)
+		f.pins++
+		p.touchLocked(id, f)
+		return nil
+	}
+	ev := p.makeRoomLocked()
+	f := &frame{page: page, avail: avail, pins: 1}
+	f.elem = p.lru.PushBack(id)
+	p.frames[id] = f
+	return ev
+}
+
+// WriteBackDone reports that the write-back of a dirty eviction from a
+// write-back pool has landed: an evicting frame leaves the pool, a
+// revived one may be evicted again.
+func (p *Pool) WriteBackDone(id storage.ItemID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, ok := p.frames[id]
+	if !ok {
+		return
+	}
+	f.writing = false
+	if f.evicting {
+		f.evicting = false
+		p.limbo--
+		delete(p.frames, id)
+	}
+}
+
 func (p *Pool) makeRoomLocked() []Eviction {
 	var out []Eviction
-	for len(p.frames) >= p.capacity {
+	for len(p.frames)-p.limbo >= p.capacity {
 		evicted := false
 		for e := p.lru.Front(); e != nil; e = e.Next() {
 			id, ok := e.Value.(storage.ItemID)
@@ -106,13 +185,24 @@ func (p *Pool) makeRoomLocked() []Eviction {
 				continue
 			}
 			f := p.frames[id]
-			if f.pins > 0 {
+			if f.pins > 0 || f.writing {
 				continue
 			}
 			p.lru.Remove(e)
+			evicted = true
+			if p.writeBack && f.dirty != 0 {
+				// The snapshot shares object bytes with the frame, which
+				// is safe because Page.SetObject replaces a slot's bytes
+				// rather than writing into them.
+				f.elem = nil
+				f.evicting, f.writing = true, true
+				p.limbo++
+				snap := &storage.Page{ID: f.page.ID, Objects: append([][]byte(nil), f.page.Objects...), LSN: f.page.LSN}
+				out = append(out, Eviction{ID: id, Page: snap, Dirty: f.dirty, Avail: f.avail})
+				break
+			}
 			delete(p.frames, id)
 			out = append(out, Eviction{ID: id, Page: f.page, Dirty: f.dirty, Avail: f.avail})
-			evicted = true
 			break
 		}
 		if !evicted {
@@ -136,6 +226,7 @@ func (p *Pool) EvictAll() []Eviction {
 	}
 	p.frames = make(map[storage.ItemID]*frame, p.capacity)
 	p.lru.Init()
+	p.limbo = 0
 	return out
 }
 
@@ -151,6 +242,9 @@ func (p *Pool) Remove(id storage.ItemID) (storage.AvailMask, bool) {
 	if f.elem != nil {
 		p.lru.Remove(f.elem)
 	}
+	if f.evicting {
+		p.limbo--
+	}
 	delete(p.frames, id)
 	return f.dirty, true
 }
@@ -163,6 +257,7 @@ func (p *Pool) Pin(id storage.ItemID) bool {
 	if !ok {
 		return false
 	}
+	p.reviveLocked(id, f)
 	f.pins++
 	p.touchLocked(id, f)
 	return true
@@ -232,6 +327,7 @@ func (p *Pool) WriteObject(id storage.ItemID, slot uint16, data []byte) error {
 	if err := f.page.SetObject(slot, data); err != nil {
 		return err
 	}
+	p.reviveLocked(id, f)
 	f.dirty = f.dirty.With(slot)
 	p.touchLocked(id, f)
 	return nil
@@ -246,6 +342,7 @@ func (p *Pool) InstallObject(id storage.ItemID, slot uint16, data []byte) error 
 	if !ok {
 		return fmt.Errorf("buffer: page %v not resident", id)
 	}
+	p.reviveLocked(id, f)
 	p.touchLocked(id, f)
 	return f.page.SetObject(slot, data)
 }
@@ -298,6 +395,7 @@ func (p *Pool) SetDirtySlot(id storage.ItemID, slot uint16, dirty bool) {
 		return
 	}
 	if dirty {
+		p.reviveLocked(id, f)
 		f.dirty = f.dirty.With(slot)
 	} else {
 		f.dirty = f.dirty.Without(slot)

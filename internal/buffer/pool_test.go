@@ -279,3 +279,106 @@ func TestInsertReplacesResident(t *testing.T) {
 		t.Errorf("Len = %d", pool.Len())
 	}
 }
+
+func TestPinOrInsertKeepsResidentFrame(t *testing.T) {
+	pool := NewWriteBackPool(4)
+	if ev := pool.PinOrInsert(pid(1), newPage(1), full()); len(ev) != 0 {
+		t.Fatalf("evicted %v from an empty pool", ev)
+	}
+	if err := pool.WriteObject(pid(1), 0, []byte("installed")); err != nil {
+		t.Fatal(err)
+	}
+	// A second miss arriving with an older disk copy must not replace it.
+	pool.PinOrInsert(pid(1), newPage(1), full())
+	if data, _ := pool.ReadObject(pid(1), 0); string(data[:9]) != "installed" {
+		t.Fatalf("resident object = %q after PinOrInsert", data)
+	}
+	// Both calls pinned: page 1 survives pressure until unpinned twice.
+	for p := uint32(2); p <= 5; p++ {
+		pool.Insert(pid(p), newPage(p), full())
+	}
+	if !pool.Contains(pid(1)) {
+		t.Fatal("pinned page evicted")
+	}
+	pool.Unpin(pid(1))
+	pool.Unpin(pid(1))
+	for p := uint32(6); p <= 9; p++ {
+		for _, ev := range pool.Insert(pid(p), newPage(p), full()) {
+			pool.WriteBackDone(ev.ID)
+		}
+	}
+	if pool.Contains(pid(1)) {
+		t.Fatal("page 1 still resident after unpinning and pressure")
+	}
+}
+
+func TestWriteBackPoolDirtyVictimStaysUntilDone(t *testing.T) {
+	pool := NewWriteBackPool(1)
+	pool.Insert(pid(1), newPage(1), full())
+	if err := pool.WriteObject(pid(1), 0, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	ev := pool.Insert(pid(2), newPage(2), full())
+	if len(ev) != 1 || ev[0].ID != pid(1) || !ev[0].Dirty.Has(0) {
+		t.Fatalf("evictions = %+v, want dirty page 1", ev)
+	}
+	if !pool.Contains(pid(1)) {
+		t.Fatal("dirty victim vanished before its write-back landed")
+	}
+	if data, ok := pool.ReadObject(pid(1), 0); !ok || string(data[:2]) != "v1" {
+		t.Fatalf("read during write-back = %q, %v", data, ok)
+	}
+	// The evicting frame does not count against capacity, and a clean
+	// victim still leaves at once.
+	if got := pool.Insert(pid(3), newPage(3), full()); len(got) != 1 || got[0].ID != pid(2) {
+		t.Fatalf("evictions = %+v, want clean page 2", got)
+	}
+	pool.WriteBackDone(pid(1))
+	if pool.Contains(pid(1)) {
+		t.Fatal("victim still resident after WriteBackDone")
+	}
+}
+
+func TestWriteBackPoolReviveOrdersWriteBacks(t *testing.T) {
+	pool := NewWriteBackPool(1)
+	pool.Insert(pid(1), newPage(1), full())
+	if err := pool.WriteObject(pid(1), 0, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	ev := pool.Insert(pid(2), newPage(2), full())
+	snap := ev[0].Page
+	// A write during the write-back revives the frame; the snapshot being
+	// written keeps the old bytes.
+	if err := pool.WriteObject(pid(1), 0, []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if string(snap.Objects[0][:2]) != "v1" {
+		t.Fatalf("snapshot changed under the write-back: %q", snap.Objects[0])
+	}
+	// While the first write-back is in flight the revived page is never
+	// chosen again, so its next write-back cannot overtake the first.
+	for _, e := range pool.Insert(pid(3), newPage(3), full()) {
+		if e.ID == pid(1) {
+			t.Fatal("page 1 evicted again with its write-back in flight")
+		}
+	}
+	pool.WriteBackDone(pid(1))
+	if !pool.Contains(pid(1)) {
+		t.Fatal("revived page left the pool on WriteBackDone")
+	}
+	if dirty, _ := pool.Dirty(pid(1)); !dirty.Has(0) {
+		t.Fatal("revived page lost its dirty bit")
+	}
+	found := false
+	for _, e := range pool.Insert(pid(4), newPage(4), full()) {
+		if e.ID == pid(1) {
+			found = true
+			if string(e.Page.Objects[0][:2]) != "v2" {
+				t.Fatalf("second write-back carries %q, want v2", e.Page.Objects[0])
+			}
+		}
+	}
+	if !found {
+		t.Fatal("revived page never evicted after its write-back landed")
+	}
+}

@@ -16,6 +16,15 @@ type copyTable struct {
 	mu    sync.Mutex
 	pages map[storage.ItemID]*pageCopies
 	files map[storage.ItemID]map[string]int
+	// shipping counts the requests that may ship a page to a client but
+	// have not registered their copy yet (see beginShip). It holds only
+	// requests in flight, so scanning it whole is cheap.
+	shipping map[shipKey]int
+}
+
+type shipKey struct {
+	page   storage.ItemID
+	client string
 }
 
 type pageCopies struct {
@@ -25,9 +34,51 @@ type pageCopies struct {
 
 func newCopyTable() *copyTable {
 	return &copyTable{
-		pages: make(map[storage.ItemID]*pageCopies),
-		files: make(map[storage.ItemID]map[string]int),
+		pages:    make(map[storage.ItemID]*pageCopies),
+		files:    make(map[storage.ItemID]map[string]int),
+		shipping: make(map[shipKey]int),
 	}
+}
+
+// beginShip announces a request that may ship page to client, before the
+// request looks for adaptive holders to deescalate; endShip retracts it
+// once the copy is registered (or the request failed). An adaptive grant
+// sets the adaptive bit first and then checks othersHold, so of a grant
+// and a concurrent ship at least one sees the other: either the ship
+// deescalates the new adaptive holder, or the grant is withdrawn.
+func (ct *copyTable) beginShip(page storage.ItemID, client string) {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	ct.shipping[shipKey{page, client}]++
+}
+
+func (ct *copyTable) endShip(page storage.ItemID, client string) {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	k := shipKey{page, client}
+	if ct.shipping[k]--; ct.shipping[k] <= 0 {
+		delete(ct.shipping, k)
+	}
+}
+
+// othersHold reports whether a client other than client caches page or
+// has a ship of it in progress.
+func (ct *copyTable) othersHold(page storage.ItemID, client string) bool {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	for k := range ct.shipping {
+		if k.page == page && k.client != client {
+			return true
+		}
+	}
+	if pc, ok := ct.pages[page]; ok {
+		for c := range pc.clients {
+			if c != client {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func fileOf(page storage.ItemID) storage.ItemID {

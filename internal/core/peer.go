@@ -36,7 +36,7 @@ type Peer struct {
 
 	locks    *lock.Manager
 	pool     *buffer.Pool // client role: cache of remote pages
-	srvPool  *buffer.Pool // server role: buffer over owned volumes
+	srvPool  *buffer.Pool // server role: write-back buffer over owned volumes
 	volumes  map[storage.VolumeID]*storage.Volume
 	slog     *wal.StableLog
 	logCache *wal.Cache
@@ -48,6 +48,10 @@ type Peer struct {
 	// outbox coalesces small fire-and-forget notices per destination; nil
 	// unless Config.Batch.
 	outbox *outbox
+
+	// testHook, when set by a test before traffic starts, runs at the
+	// server buffer's interleaving points (see testPoint).
+	testHook func(point string, page storage.ItemID)
 
 	mu         sync.Mutex
 	nextReq    uint64
@@ -137,7 +141,7 @@ func newPeer(s *System, name string, serverPoolPages, clientPoolPages int, vols 
 		waits:        waits,
 		locks:        lock.NewManager(s.stats, waits),
 		pool:         buffer.NewPool(clientPoolPages),
-		srvPool:      buffer.NewPool(serverPoolPages),
+		srvPool:      buffer.NewWriteBackPool(serverPoolPages),
 		volumes:      make(map[storage.VolumeID]*storage.Volume, len(vols)),
 		logCache:     wal.NewCache(s.stats),
 		reg:          tx.NewRegistry(name),

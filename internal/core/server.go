@@ -69,9 +69,14 @@ func (p *Peer) srvRead(from string, sc obs.SpanContext, rq readReq) (any, error)
 	if err := p.checkOwns(obj); err != nil {
 		return nil, err
 	}
+	if remote {
+		p.ct.beginShip(pageID, from)
+		defer p.ct.endShip(pageID, from)
+	}
 	if err := p.srvDeescalate(pageID, from, sc); err != nil {
 		return nil, err
 	}
+	p.testPoint(pointDeesced, pageID)
 	if err := p.lockGuarded(rq.Tx, obj, lock.SH, lock.Options{Timeout: p.waitTimeout(), Span: sc}); err != nil {
 		return nil, err
 	}
@@ -91,15 +96,10 @@ func (p *Peer) srvRead(from string, sc obs.SpanContext, rq readReq) (any, error)
 		install := p.ct.addCopy(pageID, from)
 		return readResp{ObjData: data, Install: install}, nil
 	}
-	page, err := p.srvFetchPage(pageID, sc)
+	page, avail, install, err := p.shipPage(pageID, obj, from, !rq.WholePage, sc)
 	if err != nil {
 		return nil, err
 	}
-	avail := storage.AllAvailable(page.NumObjects())
-	if !rq.WholePage {
-		avail = p.availMaskFor(pageID, obj, from, page.NumObjects())
-	}
-	install := p.ct.addCopy(pageID, from)
 	if p.obs.Active() {
 		p.obs.EmitSpan(obs.EvPageShip, sc.Under(), pageID.String(), 0, from, "read ship")
 	}
@@ -118,6 +118,10 @@ func (p *Peer) srvWrite(from string, sc obs.SpanContext, rq writeReq) (any, erro
 
 	if err := p.checkOwns(obj); err != nil {
 		return nil, err
+	}
+	if remote && !rq.HavePage {
+		p.ct.beginShip(pageID, from)
+		defer p.ct.endShip(pageID, from)
 	}
 	if err := p.srvDeescalate(pageID, from, sc); err != nil {
 		return nil, err
@@ -138,8 +142,8 @@ func (p *Peer) srvWrite(from string, sc obs.SpanContext, rq writeReq) (any, erro
 		// standing write permission for the whole page.
 		resp.Adaptive = true
 	case p.policy.EscalateOnWrite(pageID):
-		if allInvalidated && !p.foreignObjectLocks(pageID, from, rq.Tx) {
-			p.locks.SetAdaptive(rq.Tx, pageID, true)
+		if allInvalidated && !p.foreignObjectLocks(pageID, from, rq.Tx) &&
+			p.grantAdaptive(rq.Tx, pageID, from) {
 			p.stats.Inc(sim.CtrAdaptiveGrants)
 			if p.obs.Active() {
 				p.obs.EmitSpan(obs.EvEscalation, sc.Under(), pageID.String(), 0, from, "adaptive page lock granted")
@@ -150,20 +154,14 @@ func (p *Peer) srvWrite(from string, sc obs.SpanContext, rq writeReq) (any, erro
 
 	if remote {
 		if !rq.HavePage {
-			page, err := p.srvFetchPage(pageID, sc)
+			var err error
+			resp.Page, resp.Avail, resp.Install, err = p.shipPage(pageID, obj, from, obj.Level == storage.LevelObject, sc)
 			if err != nil {
 				return nil, err
 			}
 			if p.obs.Active() {
 				p.obs.EmitSpan(obs.EvPageShip, sc.Under(), pageID.String(), 0, from, "write ship")
 			}
-			resp.Page = page
-			if obj.Level == storage.LevelObject {
-				resp.Avail = p.availMaskFor(pageID, obj, from, page.NumObjects())
-			} else {
-				resp.Avail = storage.AllAvailable(page.NumObjects())
-			}
-			resp.Install = p.ct.addCopy(pageID, from)
 		} else if !rq.HaveObj && obj.Level == storage.LevelObject {
 			data, err := p.srvObjectBytes(obj, sc)
 			if err != nil {
@@ -177,6 +175,19 @@ func (p *Peer) srvWrite(from string, sc obs.SpanContext, rq writeReq) (any, erro
 		}
 	}
 	return resp, nil
+}
+
+// grantAdaptive sets tx's adaptive page lock unless another client
+// caches the page or is being shipped it — one that registered after the
+// callback round found every other copy invalidated. The bit is set
+// before the check, the mirror of beginShip before deescalation.
+func (p *Peer) grantAdaptive(tx lock.TxID, pageID storage.ItemID, client string) bool {
+	p.locks.SetAdaptive(tx, pageID, true)
+	if p.ct.othersHold(pageID, client) {
+		p.locks.SetAdaptive(tx, pageID, false)
+		return false
+	}
+	return true
 }
 
 // srvLock serves an explicit hierarchical lock request for files, volumes,
@@ -366,28 +377,51 @@ func (p *Peer) foreignObjectLocks(pageID storage.ItemID, client string, self loc
 	return foreign
 }
 
-// availMaskFor computes the unavailable-object mask of §4.2.3: before
+// unavailFor computes the unavailable-object mask of §4.2.3: before
 // shipping page P to a client, an object X in P is marked unavailable if
 // (1) X is not the requested object, and either (2) X is EX-locked by a
 // transaction homed at another client, or (3) a callback operation on X by
 // such a transaction is pending.
-func (p *Peer) availMaskFor(pageID, reqObj storage.ItemID, client string, numObjects int) storage.AvailMask {
-	mask := storage.AllAvailable(numObjects)
+func (p *Peer) unavailFor(pageID, reqObj storage.ItemID, client string) storage.AvailMask {
+	var mask storage.AvailMask
 	p.locks.ForEachLockWithin(pageID, func(info lock.Info) bool {
 		if info.Item.Level != storage.LevelObject || info.Item == reqObj {
 			return true
 		}
 		if info.Mode == lock.EX && info.Tx.Site != client {
-			mask = mask.Without(info.Item.Slot)
+			mask = mask.With(info.Item.Slot)
 		}
 		return true
 	})
 	for obj, t := range p.pendingCBSnapshot() {
 		if pageID.Contains(obj) && obj != reqObj && t.Site != client {
-			mask = mask.Without(obj.Slot)
+			mask = mask.With(obj.Slot)
 		}
 	}
 	return mask
+}
+
+// shipPage copies a page out of the server buffer for client, with its
+// install count and availability mask (object grain: §4.2.3 relative to
+// reqObj; otherwise every object). The order is what keeps the copy
+// coherent. The copy is registered first, so every callback round that
+// starts later reaches the client, whose race table vetoes what the reply
+// would resurrect (§4.2.4). The mask is taken next: a writer whose round
+// started before the registration still holds its EX lock then — or has
+// finished, and the bytes read last carry its update.
+func (p *Peer) shipPage(pageID, reqObj storage.ItemID, client string, objectGrain bool, sc obs.SpanContext) (*storage.Page, storage.AvailMask, uint64, error) {
+	install := p.ct.addCopy(pageID, client)
+	var unavail storage.AvailMask
+	if objectGrain {
+		unavail = p.unavailFor(pageID, reqObj, client)
+	}
+	page, err := p.srvFetchPage(pageID, sc)
+	if err != nil {
+		p.ct.removeCopy(pageID, client, install)
+		return nil, 0, 0, err
+	}
+	p.testPoint(pointShipped, pageID)
+	return page, storage.AllAvailable(page.NumObjects()) &^ unavail, install, nil
 }
 
 // srvFetchPage returns a deep copy of a page from the server buffer,
@@ -396,9 +430,43 @@ func (p *Peer) srvFetchPage(pageID storage.ItemID, sc obs.SpanContext) (*storage
 	if pg, _, ok := p.srvPool.ClonePage(pageID); ok {
 		return pg, nil
 	}
+	if _, err := p.srvPinPage(pageID, sc); err != nil {
+		return nil, err
+	}
+	pg, _, _ := p.srvPool.ClonePage(pageID)
+	p.srvPool.Unpin(pageID)
+	return pg, nil
+}
+
+// Interleaving points of the server buffer paths, where a test can park
+// one goroutine to force a race deterministically.
+const (
+	pointMissRead = "miss-read" // a miss read the disk copy, not yet inserted
+	pointEvicted  = "evicted"   // a dirty page left the LRU, not yet written back
+	pointPinned   = "pinned"    // an install pinned its page, not yet wrote it
+	pointDeesced  = "deesced"   // a read passed its deescalation check, not yet locked
+	pointShipped  = "shipped"   // a page ship read its bytes, reply not yet sent
+)
+
+func (p *Peer) testPoint(point string, page storage.ItemID) {
+	if h := p.testHook; h != nil {
+		h(point, page)
+	}
+}
+
+// srvPinPage makes a page resident in the server buffer and pins it,
+// reading it from disk on a miss; missed reports that read. The caller
+// must Unpin. A concurrent miss on the same page that inserted first wins
+// (PinOrInsert keeps the resident frame and whatever was installed into
+// it), and a dirty page being written back is still resident, so a miss
+// never reads a volume copy older than the buffer's.
+func (p *Peer) srvPinPage(pageID storage.ItemID, sc obs.SpanContext) (missed bool, err error) {
+	if p.srvPool.Pin(pageID) {
+		return false, nil
+	}
 	vol, ok := p.volumes[pageID.Vol]
 	if !ok {
-		return nil, fmt.Errorf("core: peer %s does not own %v", p.name, pageID)
+		return false, fmt.Errorf("core: peer %s does not own %v", p.name, pageID)
 	}
 	var ioStart time.Time
 	if p.obs.Active() {
@@ -411,11 +479,12 @@ func (p *Peer) srvFetchPage(pageID storage.ItemID, sc obs.SpanContext) (*storage
 		p.obs.EmitSpan(obs.EvDiskIO, sc.Under(), pageID.String(), d, "", "page read")
 	}
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	evs := p.srvPool.Insert(pageID, pg, storage.AllAvailable(pg.NumObjects()))
+	p.testPoint(pointMissRead, pageID)
+	evs := p.srvPool.PinOrInsert(pageID, pg, storage.AllAvailable(pg.NumObjects()))
 	p.writeBackEvictions(evs)
-	return pg.Clone(), nil
+	return true, nil
 }
 
 // srvObjectBytes returns the current bytes of an owned object.
@@ -435,31 +504,39 @@ func (p *Peer) srvObjectBytes(obj storage.ItemID, sc obs.SpanContext) ([]byte, e
 }
 
 // writeBackEvictions flushes dirty pages evicted from the server buffer to
-// their volumes. Failures are counted and retained for the harness's
-// end-of-run health check rather than silently dropped.
+// their volumes; each stays resident until its write-back lands.
+// Failures are counted and retained for the harness's end-of-run health
+// check rather than silently dropped.
 func (p *Peer) writeBackEvictions(evs []buffer.Eviction) {
 	for _, ev := range evs {
 		if ev.Dirty == 0 {
 			continue
 		}
-		vol, ok := p.volumes[ev.ID.Vol]
-		if !ok {
-			p.stats.Inc(sim.CtrWriteBackErrors)
-			p.noteError(fmt.Errorf("core: %s evicted dirty page %v of unowned volume", p.name, ev.ID))
-			continue
-		}
-		var ioStart time.Time
-		if p.obs.Active() {
-			ioStart = time.Now()
-		}
-		err := vol.WritePage(ev.Page)
-		if p.obs.Active() {
-			p.obs.Observe(obs.HistDiskIO, time.Since(ioStart))
-		}
-		if err != nil {
-			p.stats.Inc(sim.CtrWriteBackErrors)
-			p.noteError(fmt.Errorf("core: %s write-back of %v: %w", p.name, ev.ID, err))
-		}
+		p.testPoint(pointEvicted, ev.ID)
+		p.writeBack(ev)
+		p.srvPool.WriteBackDone(ev.ID)
+	}
+}
+
+// writeBack writes one dirty eviction to its volume.
+func (p *Peer) writeBack(ev buffer.Eviction) {
+	vol, ok := p.volumes[ev.ID.Vol]
+	if !ok {
+		p.stats.Inc(sim.CtrWriteBackErrors)
+		p.noteError(fmt.Errorf("core: %s evicted dirty page %v of unowned volume", p.name, ev.ID))
+		return
+	}
+	var ioStart time.Time
+	if p.obs.Active() {
+		ioStart = time.Now()
+	}
+	err := vol.WritePage(ev.Page)
+	if p.obs.Active() {
+		p.obs.Observe(obs.HistDiskIO, time.Since(ioStart))
+	}
+	if err != nil {
+		p.stats.Inc(sim.CtrWriteBackErrors)
+		p.noteError(fmt.Errorf("core: %s write-back of %v: %w", p.name, ev.ID, err))
 	}
 }
 
@@ -527,17 +604,23 @@ func (p *Peer) undoOne(rec wal.Record) {
 
 // installBytes writes object bytes into the server buffer, fetching the
 // page from disk if non-resident. Redo-time fetches are the extra reads
-// the paper attributes to the redo-at-server scheme.
+// the paper attributes to the redo-at-server scheme. The page stays
+// pinned from fetch to install, and the bytes and their dirty bit land in
+// one step, so no eviction can slip in between and drop the update.
 func (p *Peer) installBytes(obj storage.ItemID, data []byte, redo bool, sc obs.SpanContext) {
 	pageID := obj.PageID()
-	if !p.srvPool.Contains(pageID) {
-		if redo {
-			p.stats.Inc(sim.CtrRedoPageReads)
-		}
-		if _, err := p.srvFetchPage(pageID, sc); err != nil {
-			return
-		}
+	missed, err := p.srvPinPage(pageID, sc)
+	if missed && redo {
+		p.stats.Inc(sim.CtrRedoPageReads)
 	}
-	_ = p.srvPool.InstallObject(pageID, obj.Slot, data)
-	p.srvPool.SetDirtySlot(pageID, obj.Slot, true)
+	if err != nil {
+		p.noteError(fmt.Errorf("core: %s install into %v: %w", p.name, obj, err))
+		return
+	}
+	p.testPoint(pointPinned, pageID)
+	err = p.srvPool.WriteObject(pageID, obj.Slot, data)
+	p.srvPool.Unpin(pageID)
+	if err != nil {
+		p.noteError(fmt.Errorf("core: %s install into %v: %w", p.name, obj, err))
+	}
 }

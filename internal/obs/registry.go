@@ -44,7 +44,7 @@ const (
 	HistRPC                         // request/reply round trip
 	HistDiskIO                      // page read/write and log force
 	HistCommit                      // Tx.Commit total duration
-	HistTCPFrameWrite               // one frame write onto a TCP socket
+	HistTCPFrameWrite               // one socket Write of a TCP path (one or more coalesced frames)
 	HistTCPBackoff                  // one reconnect-backoff sleep of a path keeper
 	HistTCPFrameSize                // encoded frame payload size (bytes)
 	HistWALBatch                    // group-commit batch size (forces per disk write)

@@ -340,9 +340,10 @@ func (t *TCP) Send(msg Message, pathHint int) error {
 		return nil
 	}
 
+	// Counted before it can be delivered; a refused send takes it back.
+	t.countSent(msg)
 	select {
 	case ps[idx].out <- msg:
-		t.countSent(msg)
 		if action == actDup {
 			// Best-effort duplicate on the same path, as on the Network.
 			select {
@@ -354,6 +355,7 @@ func (t *TCP) Send(msg Message, pathHint int) error {
 		}
 		return nil
 	case <-t.stopCh:
+		t.uncountSent(msg)
 		t.stats.Inc(sim.CtrNetDrops)
 		return fmt.Errorf("%w: %s->%s dropped", ErrClosed, msg.From, msg.To)
 	}
@@ -374,6 +376,13 @@ func (t *TCP) countSent(msg Message) {
 	t.stats.Inc(sim.CtrMessages)
 	if msg.CarriesPage {
 		t.stats.Inc(sim.CtrPageTransfers)
+	}
+}
+
+func (t *TCP) uncountSent(msg Message) {
+	t.stats.Add(sim.CtrMessages, -1)
+	if msg.CarriesPage {
+		t.stats.Add(sim.CtrPageTransfers, -1)
 	}
 }
 
@@ -495,7 +504,7 @@ func (t *TCP) acceptLoop() {
 func (t *TCP) handshake(c net.Conn) {
 	defer t.loopWG.Done()
 	_ = c.SetReadDeadline(time.Now().Add(t.opts.DialTimeout))
-	payload, err := readFrame(c)
+	payload, err := readFrame(c, nil)
 	if err != nil {
 		c.Close()
 		return
@@ -526,17 +535,26 @@ func (t *TCP) handshake(c net.Conn) {
 }
 
 // readLoop decodes frames off one socket end and delivers them until the
-// socket dies or a framing error poisons the stream.
+// socket dies or a framing error poisons the stream. Decoded messages
+// share no memory with the frame, so one payload buffer serves every
+// frame of the connection (an outsized one is not kept).
 func (t *TCP) readLoop(c net.Conn) {
 	defer t.loopWG.Done()
 	defer t.dropConn(c)
 	br := bufio.NewReader(c)
+	var (
+		buf []byte
+		d   Decoder
+	)
 	for {
-		payload, err := readFrame(br)
+		payload, err := readFrame(br, buf)
 		if err != nil {
 			return
 		}
-		msg, err := decodeMessage(payload)
+		if cap(payload) <= maxWriteBatch {
+			buf = payload
+		}
+		msg, err := decodeMessage(&d, payload)
 		if err != nil {
 			return
 		}
@@ -599,11 +617,7 @@ func (t *TCP) dialPath(p *tcpPath, addr string) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	hello, err := encodeHello(wireHello{From: p.key.from, To: p.key.to, Path: p.idx})
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
+	hello := appendHello(nil, wireHello{From: p.key.from, To: p.key.to, Path: p.idx})
 	_ = c.SetWriteDeadline(time.Now().Add(t.opts.DialTimeout))
 	if err := writeFrame(c, hello); err != nil {
 		c.Close()
@@ -783,20 +797,27 @@ func (p *tcpPath) waitConn() net.Conn {
 	}
 }
 
+// maxWriteBatch bounds the bytes one coalesced Write gathers; the rest of
+// the queue goes out in the next one.
+const maxWriteBatch = 256 << 10
+
 // writeLoop is the path's single writer: it preserves FIFO order by being
-// the only goroutine that touches the socket's write side. On shutdown it
-// flushes everything already queued before exiting.
+// the only goroutine that touches the socket's write side. Each round
+// takes one message, drains whatever else is already queued into the
+// same reused buffer, and writes the lot with one Write call. On shutdown
+// it flushes everything already queued before exiting.
 func (p *tcpPath) writeLoop() {
 	defer close(p.drained)
+	var buf []byte
 	for {
 		select {
 		case msg := <-p.out:
-			p.ship(msg)
+			buf = p.ship(buf, msg)
 		case <-p.t.stopCh:
 			for {
 				select {
 				case msg := <-p.out:
-					p.ship(msg)
+					buf = p.ship(buf, msg)
 				default:
 					return
 				}
@@ -805,26 +826,22 @@ func (p *tcpPath) writeLoop() {
 	}
 }
 
-// ship writes one message to the path's current socket. A write error
-// poisons the socket (the frame may be half-written): the connection is
-// dropped and the message is lost in flight — real-wire loss that the
-// retry/dedup layer above recovers. It is deliberately NOT counted as a
-// CtrNetDrops: the fabric accepted the message; the wire ate it.
-func (p *tcpPath) ship(msg Message) {
+// ship writes first plus every message queued behind it by the time the
+// socket is ready to the path's current socket in one Write, reusing buf,
+// and returns buf for the next round. Each message is crash-checked and
+// encoded on its own, in FIFO order, so one that cannot travel is
+// accounted exactly as a lone send would be. A write error poisons the
+// socket (the frames may be half-written): the connection is dropped and
+// the batch is lost in flight — real-wire loss that the retry/dedup layer
+// above recovers. It is deliberately NOT counted as CtrNetDrops: the
+// fabric accepted the messages; the wire ate them.
+func (p *tcpPath) ship(buf []byte, first Message) []byte {
 	t := p.t
-	if fs := t.faults.Load(); fs != nil && fs.isCrashed(msg.To) {
-		// Destination died after the message was queued: a dead peer
-		// processes nothing, as at the simulated pump.
-		t.stats.Inc(sim.CtrCrashDrops)
-		return
-	}
-	payload, err := encodeMessage(msg)
-	if err != nil {
-		// Unregistered payload type: a programming error. The message was
-		// counted as sent and can never travel; account it as refused.
-		t.stats.Inc(sim.CtrNetDrops)
-		t.stats.Add(sim.CtrMessages, -1)
-		return
+	reg := p.reg.Load()
+	active := reg.Active()
+	buf, ok := p.appendOne(buf[:0], first, reg, active)
+	if !ok {
+		return buf
 	}
 	conn := p.waitConn()
 	if conn == nil {
@@ -832,20 +849,58 @@ func (p *tcpPath) ship(msg Message) {
 		// cannot leave the process.
 		t.stats.Inc(sim.CtrNetDrops)
 		t.stats.Add(sim.CtrMessages, -1)
-		return
+		return buf
+	}
+drain:
+	for len(buf) < maxWriteBatch {
+		select {
+		case msg := <-p.out:
+			buf, _ = p.appendOne(buf, msg, reg, active)
+		default:
+			break drain
+		}
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-	if reg := p.reg.Load(); reg.Active() {
-		reg.ObserveValue(obs.HistTCPFrameSize, int64(len(payload)))
-		start := time.Now()
-		err := writeFrame(conn, payload)
-		reg.Observe(obs.HistTCPFrameWrite, time.Since(start))
-		if err != nil {
-			t.dropConn(conn)
-		}
-		return
+	var start time.Time
+	if active {
+		start = time.Now()
 	}
-	if err := writeFrame(conn, payload); err != nil {
+	_, err := conn.Write(buf)
+	if active {
+		reg.Observe(obs.HistTCPFrameWrite, time.Since(start))
+	}
+	if err != nil {
 		t.dropConn(conn)
 	}
+	if cap(buf) > 4*maxWriteBatch {
+		// An outsized frame (a huge page) should not pin its buffer.
+		return nil
+	}
+	return buf
+}
+
+// appendOne appends msg's frame to buf and reports whether it did; a
+// message that cannot travel is accounted and left out.
+func (p *tcpPath) appendOne(buf []byte, msg Message, reg *obs.Registry, active bool) ([]byte, bool) {
+	t := p.t
+	if fs := t.faults.Load(); fs != nil && fs.isCrashed(msg.To) {
+		// Destination died after the message was queued: a dead peer
+		// processes nothing, as at the simulated pump.
+		t.stats.Inc(sim.CtrCrashDrops)
+		return buf, false
+	}
+	start := len(buf)
+	buf, err := appendMessageFrame(buf, msg)
+	if err != nil {
+		// A payload outside the codec's vocabulary: a programming error.
+		// The message was counted as sent and can never travel; account
+		// it as refused.
+		t.stats.Inc(sim.CtrNetDrops)
+		t.stats.Add(sim.CtrMessages, -1)
+		return buf, false
+	}
+	if active {
+		reg.ObserveValue(obs.HistTCPFrameSize, int64(len(buf)-start-wireHeaderSize))
+	}
+	return buf, true
 }

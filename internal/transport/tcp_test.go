@@ -10,11 +10,9 @@ import (
 	"adaptivecc/internal/sim"
 )
 
-// tcpTestPayload is the gob-registered payload used by fabric-level TCP
-// tests (interface payloads must be registered to cross the wire).
+// tcpTestPayload is the payload used by fabric-level TCP tests; testCodec
+// (wire_test.go) carries it across the wire.
 type tcpTestPayload struct{ V int }
-
-func init() { RegisterWireType(tcpTestPayload{}) }
 
 func newTestTCP(t *testing.T, paths int) (*TCP, *sim.Stats) {
 	t.Helper()

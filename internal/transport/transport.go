@@ -257,12 +257,15 @@ func (n *Network) Send(msg Message, pathHint int) error {
 		idx = n.rng.Intn(len(ps))
 		n.rngMu.Unlock()
 	}
+	// Count the message before it can be delivered, so whoever observes
+	// its effects also observes the count; a send refused below takes the
+	// count back.
+	n.stats.Inc(sim.CtrMessages)
+	if msg.CarriesPage {
+		n.stats.Inc(sim.CtrPageTransfers)
+	}
 	select {
 	case ps[idx].ch <- msg:
-		n.stats.Inc(sim.CtrMessages)
-		if msg.CarriesPage {
-			n.stats.Inc(sim.CtrPageTransfers)
-		}
 		if action == actDup {
 			// Re-deliver the same message on the same path. Best-effort: a
 			// full path or a closing network forgoes the duplicate rather
@@ -279,6 +282,10 @@ func (n *Network) Send(msg Message, pathHint int) error {
 		}
 		return nil
 	case <-n.stopCh:
+		n.stats.Add(sim.CtrMessages, -1)
+		if msg.CarriesPage {
+			n.stats.Add(sim.CtrPageTransfers, -1)
+		}
 		n.stats.Inc(sim.CtrNetDrops)
 		return fmt.Errorf("%w: %s->%s dropped", ErrClosed, msg.From, msg.To)
 	}
